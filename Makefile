@@ -68,13 +68,15 @@ serve-procs-chaos:
 	$(PYTHON) -m repro serve smoke --workers 2 --every 4
 
 # The served-path benchmark (perfbench/README.md) as an oracle-checked
-# smoke: a traced mixed-pool run through `repro serve --workers 2` and a
-# stream-rw run through `repro serve --stream`.  Each exits non-zero on
-# any wrong unflagged answer; the traced run also fails if a function
-# its tracer wraps has disappeared from the program.
+# smoke: a traced mixed-pool run through `repro serve --workers 2`, a
+# stream-rw run through `repro serve --stream`, and a knn-heavy run over
+# the batched kNN dominance path.  Each exits non-zero on any wrong
+# unflagged answer; the traced run also fails if a function its tracer
+# wraps has disappeared from the program.
 perfbench-smoke:
 	$(PYTHON) perfbench/run.py --workload mixed-pool --seed 1 --seconds 5 --trace 1
 	$(PYTHON) perfbench/run.py --workload stream-rw --seed 1 --seconds 5 --trace 0
+	$(PYTHON) perfbench/run.py --workload knn-heavy --seed 1 --seconds 5 --trace 0
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -30,6 +30,7 @@ __all__ = [
     "register_criterion",
     "get_criterion",
     "available_criteria",
+    "is_registered",
 ]
 
 
@@ -122,6 +123,18 @@ def get_criterion(name: str) -> DominanceCriterion:
         known = ", ".join(sorted(_REGISTRY)) or "(none)"
         raise CriterionError(f"unknown criterion {name!r}; known: {known}") from None
     return factory()
+
+
+def is_registered(criterion: DominanceCriterion) -> bool:
+    """Whether *criterion* is exactly the class registered under its name.
+
+    A subclass inherits its parent's ``name`` but may change the
+    decision, so only the registered class itself counts.
+
+    >>> is_registered(get_criterion("hyperbola"))
+    True
+    """
+    return _REGISTRY.get(criterion.name) is type(criterion)
 
 
 def available_criteria() -> Iterator[str]:

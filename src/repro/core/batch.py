@@ -14,6 +14,10 @@ triples —
 - ``ra, rb, rq`` : ``(n,)`` radius arrays,
 
 and return a boolean array of shape ``(n,)``.
+
+:func:`batch_dominates` is the query layer's guarded entry point: it
+takes a criterion object and declines (returns ``None``) wherever the
+caller's scalar guarded path must decide instead.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.geometry.quartic import solve_quartic_real_batch
+from repro.core.base import DominanceCriterion, is_registered
+from repro.core.hyperbola import _distance_to_hyperbola_2d
+from repro.geometry import quartic
 from repro.obs import names
 
 #: Anything convertible to an ``(n, d)`` float array of centers.
@@ -38,6 +44,8 @@ __all__ = [
     "batch_trigonometric",
     "batch_hyperbola",
     "batch_evaluate",
+    "batch_dominates",
+    "MIN_BATCH_ROWS",
 ]
 
 
@@ -179,7 +187,12 @@ def _batch_distance_to_hyperbola(
         ],
         axis=1,
     )
-    lam = solve_quartic_real_batch(coefficients)  # (n, 4), nan padded
+    # Resolved at call time so the ``quartic`` fault seam reaches it.
+    lam = quartic.solve_quartic_real_batch(coefficients)  # (n, 4), nan padded
+    if np.any(np.isinf(lam)):
+        # As in the scalar kernel: a dropped infinite root would inflate
+        # the minimum and certify a wrong "dominates".
+        raise ArithmeticError("quartic solver produced a non-finite root")
 
     def quadric_y_sq(x: np.ndarray) -> np.ndarray:
         """``y^2`` placing ``(x, y)`` on the quadric (may be negative)."""
@@ -216,8 +229,17 @@ def _batch_distance_to_hyperbola(
     y_ring = np.sqrt(np.maximum(y_ring_sq, 0.0))
     ring_sq = (t - x_ring) ** 2 + (rho - y_ring) ** 2
     best_sq = np.where(valid_ring, np.minimum(best_sq, ring_sq), best_sq)
+    dmin = np.sqrt(best_sq)
 
-    return np.sqrt(best_sq)
+    # Off the focal axis the nearest boundary point is a generic
+    # stationary point, so its quartic has a real root.  A row without
+    # one (a poisoned solve looks exactly like nan padding) is re-solved
+    # by the scalar kernel, which raises on a non-finite root.
+    for i in np.flatnonzero(np.all(np.isnan(lam), axis=1) & (rho > 0.0)):
+        dmin[i] = _distance_to_hyperbola_2d(
+            float(t[i]), float(rho[i]), float(alpha[i]), float(rab[i])
+        )
+    return dmin
 
 
 def batch_hyperbola(
@@ -339,3 +361,46 @@ def batch_evaluate(
         obs.incr(names.batch_calls(name))
         obs.observe(names.BATCH_WORKLOAD_ROWS, int(np.asarray(ca).shape[0]))
     return kernel(ca, cb, cq, ra, rb, rq)
+
+
+#: Below this many rows one batch call costs more than the scalar checks.
+MIN_BATCH_ROWS = 4
+
+
+def batch_dominates(
+    criterion: DominanceCriterion,
+    ca: np.ndarray,
+    cb: np.ndarray,
+    cq: np.ndarray,
+    ra: np.ndarray,
+    rb: np.ndarray,
+    rq: np.ndarray,
+) -> "np.ndarray | None":
+    """*criterion*'s verdict per row in one kernel call, or ``None``.
+
+    The guarded batch route of the query layer: ``None`` tells the
+    caller to take its scalar guarded path instead, which keeps every
+    fault tally, fallback decision and certified-criterion count
+    exactly as the scalar path keeps them.  That happens when
+
+    - *criterion* is not exactly a registered class with a batch kernel
+      (``verified``, ``cascade``, any subclass);
+    - there are fewer than :data:`MIN_BATCH_ROWS` rows;
+    - any input is non-finite;
+    - the kernel raises :class:`ArithmeticError` (a broken quartic
+      solve, including the ``quartic`` fault seam).
+
+    Otherwise the verdicts equal the scalar criterion's row for row.
+    """
+    if (
+        criterion.name not in _BATCH_KERNELS
+        or ra.shape[0] < MIN_BATCH_ROWS
+        or not is_registered(criterion)
+    ):
+        return None
+    if not all(np.isfinite(a).all() for a in (ca, cb, cq, ra, rb, rq)):
+        return None
+    try:
+        return batch_evaluate(criterion.name, ca, cb, cq, ra, rb, rq)
+    except ArithmeticError:
+        return None

@@ -70,6 +70,14 @@ _HYPERBOLA_KEYS = {
     names.HYPERBOLA_VERTEX_1D: "vertex_1d",
     names.HYPERBOLA_BISECTOR: "bisector",
     names.HYPERBOLA_QUARTIC: "quartic",
+    # The batch kernel's rows: with the scalar calls they add up to the
+    # query's dominance checks under the hyperbola criterion.
+    names.BATCH_HYPERBOLA_ROWS: "batch_rows",
+    names.BATCH_HYPERBOLA_OVERLAP_ROWS: "batch_fast_path_overlap",
+    names.BATCH_HYPERBOLA_CENTER_OUTSIDE_ROWS: "batch_fast_path_center_outside",
+    names.BATCH_HYPERBOLA_POINT_QUERY_ROWS: "batch_fast_path_point_query",
+    names.BATCH_HYPERBOLA_BISECTOR_ROWS: "batch_bisector",
+    names.BATCH_HYPERBOLA_QUARTIC_ROWS: "batch_quartic",
 }
 
 
@@ -89,7 +97,8 @@ class QueryExplain:
     traversal: "dict[str, int]"
     #: Per-tier cascade outcomes (MinMax accepts/rejects, fall-throughs).
     cascade: "dict[str, int]"
-    #: Hyperbola fast-path / slow-path breakdown behind fall-throughs.
+    #: Hyperbola fast-path / slow-path breakdown behind fall-throughs,
+    #: scalar calls and batch-kernel rows (``batch_*`` keys) alike.
     hyperbola: "dict[str, int]"
     #: Certified-ladder stage attempts (``verified.stage.<stage>`` keys).
     ladder: "dict[str, int]"
@@ -183,9 +192,15 @@ class QueryExplain:
             for i, (label, count) in enumerate(tiers):
                 branch = "└─" if i == len(tiers) - 1 else "├─"
                 lines.append(f"│  {branch} {label}: {count}")
-        if self.hyperbola.get("calls"):
+        for label, prefix, total_key in (
+            ("call(s)", "", "calls"),
+            ("batch row(s)", "batch_", "batch_rows"),
+        ):
+            total = self.hyperbola.get(total_key, 0)
+            if not total:
+                continue
             fast = sum(
-                self.hyperbola.get(key, 0)
+                self.hyperbola.get(prefix + key, 0)
                 for key in (
                     "fast_path_overlap",
                     "fast_path_center_outside",
@@ -193,10 +208,10 @@ class QueryExplain:
                 )
             )
             lines.append(
-                f"├─ hyperbola: {self.hyperbola['calls']} call(s) — "
+                f"├─ hyperbola: {total} {label} — "
                 f"{fast} fast-path, "
-                f"{self.hyperbola.get('bisector', 0)} bisector, "
-                f"{self.hyperbola.get('quartic', 0)} quartic"
+                f"{self.hyperbola.get(prefix + 'bisector', 0)} bisector, "
+                f"{self.hyperbola.get(prefix + 'quartic', 0)} quartic"
             )
         if self.ladder:
             stages = ", ".join(

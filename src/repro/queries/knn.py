@@ -24,6 +24,24 @@ criterion: with Hyperbola the answer is exact; with a non-sound
 criterion some dominated objects survive, which is precisely the
 precision loss the paper's Figures 13–16 measure.
 
+Batch route.  A Case-1 eviction and the final cleanup each ask one
+question: does the one ``Sk`` dominate each of the rows beyond ``k``?
+The same holds for the two-phase filter, which asks it once per anchor
+over every undecided candidate collected in phase 2.  Each question is
+one :func:`repro.core.batch.batch_dominates` call (paper Section 5.2
+evaluates dominance in batches).  Case-2 offers stay scalar, because
+each one can change ``Sk``.  The batch call declines, and the rows take
+the scalar guarded check one at a time, when:
+
+- the criterion is not exactly a registered class with a batch kernel
+  (``verified``, ``cascade``, any subclass);
+- there are fewer than :data:`~repro.core.batch.MIN_BATCH_ROWS` rows;
+- an input is non-finite;
+- the kernel raises :class:`ArithmeticError`.
+
+So the answers, the offer order, the budget charges and every
+:class:`KNNResult` tally equal those of the scalar path.
+
 Two traversals are provided, as in the paper's experiments:
 
 - ``"df"`` — depth-first (Roussopoulos et al.), children visited in
@@ -89,6 +107,7 @@ from repro import obs
 from repro.obs import export as obs_export
 from repro.obs import names
 from repro.core.base import DominanceCriterion, get_criterion
+from repro.core.batch import MIN_BATCH_ROWS, batch_dominates
 from repro.exceptions import QueryError
 from repro.geometry.distance import max_dist, min_dist
 from repro.geometry.hypersphere import Hypersphere
@@ -264,6 +283,65 @@ def _safe_sphere_min_dist(
     return float(value)
 
 
+def _guarded_dominates(
+    criterion: DominanceCriterion,
+    fallback: DominanceCriterion,
+    anchor: Hypersphere,
+    sphere: Hypersphere,
+    query: Hypersphere,
+    tally: "KNNResult | _BestKnownList",
+) -> bool:
+    """One guarded dominance check (the only place pruning can err).
+
+    A raising criterion falls back to MinMax; a raising fallback answers
+    ``False`` (keep) — both directions are conservative.  Each raise is
+    tallied on ``tally.absorbed_faults``.
+    """
+    try:
+        return bool(criterion.dominates(anchor, sphere, query))
+    except ArithmeticError:
+        tally.absorbed_faults += 1
+    try:
+        return bool(fallback.dominates(anchor, sphere, query))
+    except ArithmeticError:
+        tally.absorbed_faults += 1
+        return False
+
+
+def _guarded_rows(
+    criterion: DominanceCriterion,
+    fallback: DominanceCriterion,
+    anchor: Hypersphere,
+    spheres: "list[Hypersphere]",
+    query: Hypersphere,
+    tally: "KNNResult | _BestKnownList",
+) -> "list[bool]":
+    """:func:`_guarded_dominates` for every sphere against one anchor.
+
+    The rows go through one :func:`~repro.core.batch.batch_dominates`
+    call; when that declines, each row takes the scalar guarded check.
+    """
+    n = len(spheres)
+    if n >= MIN_BATCH_ROWS:
+        centers = np.array([sphere.center for sphere in spheres])
+        shape = centers.shape
+        verdicts = batch_dominates(
+            criterion,
+            np.broadcast_to(anchor.center, shape),
+            centers,
+            np.broadcast_to(query.center, shape),
+            np.full(n, anchor.radius),
+            np.array([sphere.radius for sphere in spheres]),
+            np.full(n, query.radius),
+        )
+        if verdicts is not None:
+            return verdicts.tolist()
+    return [
+        _guarded_dominates(criterion, fallback, anchor, sphere, query, tally)
+        for sphere in spheres
+    ]
+
+
 class _BestKnownList:
     """The list ``L``: entries sorted by ``MaxDist`` to the query."""
 
@@ -337,23 +415,13 @@ class _BestKnownList:
         return float(value)
 
     def _dominates(self, kth: Hypersphere, sphere: Hypersphere) -> bool:
-        """One guarded dominance check (the only place pruning can err).
-
-        A raising criterion falls back to MinMax; a raising fallback
-        answers ``False`` (keep) — both directions are conservative.
-        """
+        """One guarded dominance check (a Case-2 offer)."""
         self.dominance_checks += 1
         if self._degraded:
             self.degraded_checks += 1
-        try:
-            return bool(self._criterion.dominates(kth, sphere, self._query))
-        except ArithmeticError:
-            self.absorbed_faults += 1
-        try:
-            return bool(self._fallback.dominates(kth, sphere, self._query))
-        except ArithmeticError:
-            self.absorbed_faults += 1
-            return False
+        return _guarded_dominates(
+            self._criterion, self._fallback, kth, sphere, self._query, self
+        )
 
     def offer(self, key: object, sphere: Hypersphere) -> None:
         """Process one candidate through the paper's three cases."""
@@ -374,37 +442,41 @@ class _BestKnownList:
         if not self._dominates(self._kth_sphere(), sphere):
             self._insert(dist_max, key, sphere)
 
+    def _undominated(self) -> "list[tuple[float, int, object, Hypersphere]]":
+        """The rows minus those beyond k that the current Sk dominates.
+
+        The first k rows define distk, and Sk never self-dominates, so
+        only the tail is checked: one guarded batch call.
+        """
+        tail = self._rows[self._k:]
+        if not tail:
+            return self._rows
+        self.dominance_checks += len(tail)
+        if self._degraded:
+            self.degraded_checks += len(tail)
+        dominated = _guarded_rows(
+            self._criterion,
+            self._fallback,
+            self._kth_sphere(),
+            [row[3] for row in tail],
+            self._query,
+            self,
+        )
+        return self._rows[: self._k] + [
+            row for row, gone in zip(tail, dominated) if not gone
+        ]
+
     def _evict_dominated(self) -> None:
         """Drop every member dominated by the (new) k-th hypersphere."""
-        kth = self._kth_sphere()
-        survivors = []
-        for i, row in enumerate(self._rows):
-            if i < self._k:  # the first k define distk; Sk never self-dominates
-                survivors.append(row)
-                continue
-            if not self._dominates(kth, row[3]):
-                survivors.append(row)
-        if len(survivors) != len(self._rows):
-            self._rows = survivors
-            self._maxdists = [row[0] for row in survivors]
+        rows = self._undominated()
+        if len(rows) != len(self._rows):
+            self._rows = rows
+            self._maxdists = [row[0] for row in rows]
 
     def finalize(self) -> tuple[list, list[Hypersphere], float]:
         """Final cleanup pass: re-apply dominance by the final Sk."""
-        if len(self._rows) < self._k:
-            return (
-                [row[2] for row in self._rows],
-                [row[3] for row in self._rows],
-                float("inf"),
-            )
-        kth = self._kth_sphere()
-        keys, spheres = [], []
-        for i, row in enumerate(self._rows):
-            if i >= self._k:
-                if self._dominates(kth, row[3]):
-                    continue
-            keys.append(row[2])
-            spheres.append(row[3])
-        return keys, spheres, self.distk
+        rows = self._undominated()
+        return [row[2] for row in rows], [row[3] for row in rows], self.distk
 
 
 class _ShadowedOffers:
@@ -743,177 +815,170 @@ def _knn_two_phase(
     budget: "Budget | None" = None,
     levels: "dict[int, int] | None" = None,
 ) -> KNNResult:
-    """The Definition-2-exact variant: find ``Sk`` first, then collect."""
+    """The Definition-2-exact variant: find ``Sk`` first, then collect.
+
+    Both phases only collect; the entries the criterion must decide
+    (``undecided`` positions in ``collected``) are filtered afterwards,
+    one guarded batch per anchor.
+    """
     result = KNNResult(keys=[], spheres=[], distk=float("inf"))
     uncertain_before = _uncertain_count(criterion)
+    anchors: "list[Hypersphere]"
+    collected: "list[tuple[object, Hypersphere]]" = []
+    undecided: "list[int]" = []
 
     if isinstance(index, LinearIndex):
         maxdists = index.max_dists(query)
         distk = float(np.partition(maxdists, k - 1)[k - 1])
         anchors = [index.spheres[i] for i in np.flatnonzero(maxdists == distk)]
         result.entries_considered = len(index)
+        collected.extend(index)
+        undecided = np.flatnonzero(maxdists > distk).tolist()
         if budget is not None:
             # The vectorised scan considers every entry in one sweep.
             budget.charge_candidate(len(index))
-        candidates = zip(index.keys, index.spheres, maxdists)
-        for key, sphere, dist_max in candidates:
-            if dist_max <= distk:
-                result.keys.append(key)
-                result.spheres.append(sphere)
-                continue
-            if budget is not None and budget.exhausted() is not None:
-                # Out of budget: skip the criterion filter and keep the
+            if budget.exhausted() is not None:
+                # Out of budget: skip the criterion filter and keep every
                 # candidate — a conservative superset, never a wrong cut.
-                result.degraded_checks += 1
-                result.keys.append(key)
-                result.spheres.append(sphere)
-                continue
-            result.dominance_checks += len(anchors)
-            if not _any_anchor_dominates(anchors, sphere, query, criterion, result):
-                result.keys.append(key)
-                result.spheres.append(sphere)
-        result.distk = distk
-        result.uncertain_decisions = _uncertain_count(criterion) - uncertain_before
-        _record_traversal(index, result)
-        return result
-
-    if strategy not in ("hs", "df"):
-        raise QueryError(f"unknown strategy {strategy!r}; use 'df' or 'hs'")
-
-    # Phase 1: the k-th smallest MaxDist via best-first search on the
-    # MaxDist lower bound (exact regardless of the dominance criterion).
-    counter = itertools.count()
-    heap: list[tuple[float, int, SSTreeNode, int]] = [
-        (
-            _safe_node_max_dist_lower_bound(index.root, query, result),
-            next(counter),
-            index.root,
-            0,
-        )
-    ]
-    top: list[tuple[float, int, Hypersphere]] = []  # max-heap via negation
-    phase1_cut = False
-    while heap:
-        bound, _, node, depth = heapq.heappop(heap)
-        if len(top) == k and bound > -top[0][0]:
-            break
-        if budget is not None and budget.charge_node() is not None:
-            phase1_cut = True
-            break
-        result.nodes_visited += 1
-        if levels is not None:
-            levels[depth] = levels.get(depth, 0) + 1
-        if node.is_leaf:
-            for _, sphere in node.entries:
-                if budget is not None and budget.charge_candidate() is not None:
-                    phase1_cut = True
-                    break
-                dist_max = _safe_sphere_max_dist(sphere, query, result)
-                if len(top) < k:
-                    heapq.heappush(top, (-dist_max, next(counter), sphere))
-                elif dist_max < -top[0][0]:
-                    heapq.heapreplace(top, (-dist_max, next(counter), sphere))
-            if phase1_cut:
-                break
-        else:
-            for child in node.children:
-                child_bound = _safe_node_max_dist_lower_bound(child, query, result)
-                if len(top) < k or child_bound <= -top[0][0]:
-                    heapq.heappush(
-                        heap, (child_bound, next(counter), child, depth + 1)
-                    )
-    if len(top) < k:
-        # The budget cut phase 1 before k objects were even seen; with
-        # no usable distk nothing can be pruned safely.
-        distk = math.inf
-        anchors: list[Hypersphere] = []
+                result.degraded_checks += len(undecided)
+                undecided = []
     else:
-        distk = -top[0][0]
-        # When phase 1 was cut short the found distk is only an *upper*
-        # bound on the true one: Case-3 pruning against it stays safe
-        # (MinDist > distk' >= distk), but the found anchors may not be
-        # the true Sk, so the criterion filter must be skipped.
-        anchors = (
-            [] if phase1_cut else [s for neg, _, s in top if -neg == distk]
-        )
+        if strategy not in ("hs", "df"):
+            raise QueryError(f"unknown strategy {strategy!r}; use 'df' or 'hs'")
 
-    # Phase 2: collect every object not dominated by Sk.  A subtree with
-    # MinDist > distk is entirely dominated via MinMax (Lemma 9).
-    stack: "list[tuple[SSTreeNode, int]]" = [(index.root, 0)]
-    stopped = False
-    while stack:
-        node, depth = stack.pop()
-        if stopped or (budget is not None and budget.charge_node() is not None):
-            stopped = True
-            break
-        if _safe_node_min_dist(node, query, result) > distk:
-            result.pruned_case3 += 1
-            continue
-        result.nodes_visited += 1
-        if levels is not None:
-            levels[depth] = levels.get(depth, 0) + 1
-        if node.is_leaf:
-            for key, sphere in node.entries:
-                if budget is not None and budget.charge_candidate() is not None:
-                    stopped = True
-                    break
-                result.entries_considered += 1
-                dist_max = _safe_sphere_max_dist(sphere, query, result)
-                if dist_max <= distk:
-                    result.keys.append(key)
-                    result.spheres.append(sphere)
-                    continue
-                if _safe_sphere_min_dist(sphere, query, result) > distk:
-                    result.pruned_case3 += 1
-                    continue
-                if not anchors:
-                    # No trustworthy Sk (budget cut phase 1): keep — a
-                    # conservative superset over the visited region.
-                    if phase1_cut:
-                        result.degraded_checks += 1
-                    result.keys.append(key)
-                    result.spheres.append(sphere)
-                    continue
-                result.dominance_checks += len(anchors)
-                if not _any_anchor_dominates(
-                    anchors, sphere, query, criterion, result
-                ):
-                    result.keys.append(key)
-                    result.spheres.append(sphere)
-            if stopped:
+        # Phase 1: the k-th smallest MaxDist via best-first search on the
+        # MaxDist lower bound (exact regardless of the dominance criterion).
+        counter = itertools.count()
+        heap: list[tuple[float, int, SSTreeNode, int]] = [
+            (
+                _safe_node_max_dist_lower_bound(index.root, query, result),
+                next(counter),
+                index.root,
+                0,
+            )
+        ]
+        top: list[tuple[float, int, Hypersphere]] = []  # max-heap via negation
+        phase1_cut = False
+        while heap:
+            bound, _, node, depth = heapq.heappop(heap)
+            if len(top) == k and bound > -top[0][0]:
                 break
+            if budget is not None and budget.charge_node() is not None:
+                phase1_cut = True
+                break
+            result.nodes_visited += 1
+            if levels is not None:
+                levels[depth] = levels.get(depth, 0) + 1
+            if node.is_leaf:
+                for _, sphere in node.entries:
+                    if budget is not None and budget.charge_candidate() is not None:
+                        phase1_cut = True
+                        break
+                    dist_max = _safe_sphere_max_dist(sphere, query, result)
+                    if len(top) < k:
+                        heapq.heappush(top, (-dist_max, next(counter), sphere))
+                    elif dist_max < -top[0][0]:
+                        heapq.heapreplace(top, (-dist_max, next(counter), sphere))
+                if phase1_cut:
+                    break
+            else:
+                for child in node.children:
+                    child_bound = _safe_node_max_dist_lower_bound(child, query, result)
+                    if len(top) < k or child_bound <= -top[0][0]:
+                        heapq.heappush(
+                            heap, (child_bound, next(counter), child, depth + 1)
+                        )
+        if len(top) < k:
+            # The budget cut phase 1 before k objects were even seen; with
+            # no usable distk nothing can be pruned safely.
+            distk = math.inf
+            anchors = []
         else:
-            stack.extend((child, depth + 1) for child in node.children)
+            distk = -top[0][0]
+            # When phase 1 was cut short the found distk is only an *upper*
+            # bound on the true one: Case-3 pruning against it stays safe
+            # (MinDist > distk' >= distk), but the found anchors may not be
+            # the true Sk, so the criterion filter must be skipped.
+            anchors = (
+                [] if phase1_cut else [s for neg, _, s in top if -neg == distk]
+            )
+
+        # Phase 2: collect every object not dominated by Sk.  A subtree with
+        # MinDist > distk is entirely dominated via MinMax (Lemma 9).
+        stack: "list[tuple[SSTreeNode, int]]" = [(index.root, 0)]
+        stopped = False
+        while stack:
+            node, depth = stack.pop()
+            if stopped or (budget is not None and budget.charge_node() is not None):
+                stopped = True
+                break
+            if _safe_node_min_dist(node, query, result) > distk:
+                result.pruned_case3 += 1
+                continue
+            result.nodes_visited += 1
+            if levels is not None:
+                levels[depth] = levels.get(depth, 0) + 1
+            if node.is_leaf:
+                for key, sphere in node.entries:
+                    if budget is not None and budget.charge_candidate() is not None:
+                        stopped = True
+                        break
+                    result.entries_considered += 1
+                    dist_max = _safe_sphere_max_dist(sphere, query, result)
+                    if dist_max > distk:
+                        if _safe_sphere_min_dist(sphere, query, result) > distk:
+                            result.pruned_case3 += 1
+                            continue
+                        if anchors:
+                            undecided.append(len(collected))
+                        elif phase1_cut:
+                            # No trustworthy Sk (budget cut phase 1): keep — a
+                            # conservative superset over the visited region.
+                            result.degraded_checks += 1
+                    collected.append((key, sphere))
+                if stopped:
+                    break
+            else:
+                stack.extend((child, depth + 1) for child in node.children)
+
+    dominated = _dominated_by_any(
+        anchors, [collected[i][1] for i in undecided], query, criterion, result
+    )
+    drop = {undecided[i] for i in np.flatnonzero(dominated)}
+    for i, (key, sphere) in enumerate(collected):
+        if i not in drop:
+            result.keys.append(key)
+            result.spheres.append(sphere)
     result.distk = distk
     result.uncertain_decisions = _uncertain_count(criterion) - uncertain_before
     _record_traversal(index, result)
     return result
 
 
-def _any_anchor_dominates(
+def _dominated_by_any(
     anchors: "list[Hypersphere]",
-    sphere: Hypersphere,
+    spheres: "list[Hypersphere]",
     query: Hypersphere,
     criterion: DominanceCriterion,
     result: KNNResult,
-) -> bool:
-    """Guarded ``any(dominates)`` over the anchors (see _BestKnownList)."""
-    fallback = None
+) -> np.ndarray:
+    """Which *spheres* some anchor dominates: one guarded batch per anchor.
+
+    A row leaves the batch at the first anchor that dominates it, so
+    every (anchor, row) pair the scalar ``any`` loop would evaluate is
+    evaluated, and no other.
+    """
+    result.dominance_checks += len(anchors) * len(spheres)
+    dominated = np.zeros(len(spheres), dtype=bool)
+    fallback = get_criterion("minmax")
     for anchor in anchors:
-        try:
-            if criterion.dominates(anchor, sphere, query):
-                return True
-            continue
-        except ArithmeticError:
-            result.absorbed_faults += 1
-        if fallback is None:
-            fallback = get_criterion("minmax")
-        try:
-            if fallback.dominates(anchor, sphere, query):
-                return True
-        except ArithmeticError:
-            result.absorbed_faults += 1
-    return False
+        rows = np.flatnonzero(~dominated)
+        if not rows.size:
+            break
+        dominated[rows] = _guarded_rows(
+            criterion, fallback, anchor, [spheres[i] for i in rows], query, result
+        )
+    return dominated
 
 
 def knn_reference(

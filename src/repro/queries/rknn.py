@@ -19,6 +19,14 @@ whose uncertainty regions leave the outcome undecided remain
 candidates); a correct-but-unsound criterion refutes less and returns a
 superset, mirroring the kNN precision experiments.
 
+The exact pass over one object's plausible competitors is one
+:func:`repro.core.batch.batch_dominates` call.  When that call declines
+(a criterion without a batch kernel such as ``verified`` or
+``cascade``, a subclass, fewer than
+:data:`~repro.core.batch.MIN_BATCH_ROWS` rows, non-finite inputs, or a
+raising kernel), the scalar loop decides the pairs one at a time and
+stops at the first refutation, as before.
+
 Resilience: membership here is refute-only, so every degradation is a
 *kept* candidate.  A raising criterion on one pair keeps that pair's
 candidate (absorbed fault); an exhausted
@@ -39,6 +47,7 @@ from repro import obs
 from repro.obs import export as obs_export
 from repro.obs import names
 from repro.core.base import DominanceCriterion, get_criterion
+from repro.core.batch import batch_dominates
 from repro.geometry.hypersphere import Hypersphere
 from repro.index.linear import LinearIndex
 from repro.queries.explain import ExplainedResult, explain_capture
@@ -127,6 +136,7 @@ def _run_rnn(
     radii = dataset.radii
     keys = dataset.keys
     spheres = dataset.spheres
+    dimension = dataset.dimension
     # Duck-typed tally of certified-criterion abstentions (see knn.py).
     uncertain_before = int(getattr(criterion, "uncertain_count", 0))
     report = ResilienceReport()
@@ -150,23 +160,37 @@ def _run_rnn(
             continue  # refuted already by the pre-filter
         # Exact pass over the plausible competitors only.  Dominance of Sq
         # wrt Sb needs MinDist(Sa, Sb) <= MaxDist(Sq, Sb) (a necessary
-        # condition), so anything farther can be skipped safely.
+        # condition), so anything farther can be skipped safely.  One
+        # guarded batch call decides the rest; when it declines, the
+        # scalar loop does, stopping at the first refutation.
         plausible = np.flatnonzero(
             gaps - radii - sphere_b.radius
             <= gap_qb + query.radius + sphere_b.radius
         )
-        refuted = False
-        for a in plausible:
-            if a == b:
-                continue
-            try:
-                if criterion.dominates(spheres[a], query, sphere_b):
-                    refuted = True
-                    break
-            except ArithmeticError:
-                # A broken kernel cannot prove a prune safe: keep the
-                # pair unrefuted and count the absorption.
-                absorbed += 1
+        plausible = plausible[plausible != b]
+        n = int(plausible.size)
+        verdicts = batch_dominates(
+            criterion,
+            centers[plausible],
+            np.broadcast_to(query.center, (n, dimension)),
+            np.broadcast_to(sphere_b.center, (n, dimension)),
+            radii[plausible],
+            np.full(n, query.radius),
+            np.full(n, sphere_b.radius),
+        )
+        if verdicts is not None:
+            refuted = bool(verdicts.any())
+        else:
+            refuted = False
+            for a in plausible:
+                try:
+                    if criterion.dominates(spheres[a], query, sphere_b):
+                        refuted = True
+                        break
+                except ArithmeticError:
+                    # A broken kernel cannot prove a prune safe: keep the
+                    # pair unrefuted and count the absorption.
+                    absorbed += 1
         if not refuted:
             survivors.append(key)
     report.uncertain = (

@@ -142,26 +142,6 @@ class Budget:
         """Whether the deadline anchor has been set (or none is needed)."""
         return self.deadline_s is None or self._deadline_at is not None
 
-    def remaining_s(self) -> "float | None":
-        """Wall-clock seconds left before the deadline, clamped at zero.
-
-        ``None`` means no deadline is configured (an unbounded budget).
-        A broken clock reads as ``0.0`` — the conservative answer: a
-        caller sizing a timeout from this then fails fast instead of
-        waiting on a deadline nobody can measure.  Starts the budget on
-        first use, mirroring :meth:`charge_node`'s lazy anchor.
-        """
-        if self.deadline_s is None:
-            return None
-        if self._deadline_at is None:
-            self.start()
-            if self._deadline_at is None:  # clock broken during start
-                return 0.0
-        now = self._read_clock()
-        if now is None:
-            return 0.0
-        return max(self._deadline_at - now, 0.0)
-
     @property
     def candidates_charged(self) -> int:
         """Entries charged so far via :meth:`charge_candidate`."""

@@ -33,7 +33,6 @@ from repro.index import snapshot as snapshot_io
 from repro.index.sstree import SSTree
 from repro.obs import export as obs_export
 from repro.obs import names
-from repro.resilience.budget import Budget
 from repro.robust import faults
 from repro.serve.admission import AdmissionController
 from repro.serve.app import ServeApp
@@ -141,33 +140,6 @@ class TestWalOwnerLock:
             reader.close()
         finally:
             owner.close()
-
-
-# ----------------------------------------------------------------------
-# Budget.remaining_s (sizes per-attempt dispatch timeouts)
-# ----------------------------------------------------------------------
-class TestBudgetRemaining:
-    def test_unbounded_budget_has_no_remaining(self):
-        assert Budget().remaining_s() is None
-
-    def test_counts_down_and_clamps_at_zero(self):
-        budget = Budget(deadline_s=0.05).start()
-        first = budget.remaining_s()
-        assert first is not None and 0.0 < first <= 0.05
-        time.sleep(0.06)
-        assert budget.remaining_s() == 0.0
-
-    def test_lazily_starts_on_first_read(self):
-        budget = Budget(deadline_s=1.0)
-        assert not budget.started
-        remaining = budget.remaining_s()
-        assert budget.started
-        assert remaining is not None and remaining > 0.5
-
-    def test_broken_clock_reads_as_zero(self):
-        budget = Budget(deadline_s=10.0).start()
-        with faults.inject("clock", "raise"):
-            assert budget.remaining_s() == 0.0
 
 
 # ----------------------------------------------------------------------
