@@ -26,7 +26,8 @@ fuzz:
 	HYPOTHESIS_PROFILE=fuzz $(PYTHON) -m pytest -q \
 		tests/test_boundary_fuzz.py tests/test_faults.py \
 		tests/test_robust_exact.py tests/test_robust_decision.py \
-		tests/test_criteria_properties.py
+		tests/test_criteria_properties.py tests/test_batch_route.py \
+		tests/test_knn_blocks.py
 
 # The resilience gate (docs/resilience.md): the chaos matrix (every
 # fault seam x mode), budget/degradation behaviour, snapshot integrity,

@@ -49,9 +49,8 @@ def _best_first_unbudgeted(root, query, best, result) -> None:
             break
         result.nodes_visited += 1
         if node.is_leaf:
-            for key, sphere in node.entries:
-                result.entries_considered += 1
-                best.offer(key, sphere)
+            result.entries_considered += len(node.entries)
+            best.offer_block(node.entries)
         else:
             for child in node.children:
                 gap = _safe_node_min_dist(child, query, result)

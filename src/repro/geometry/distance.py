@@ -7,7 +7,12 @@ The paper manipulates three flavours of distance:
 - ``MinDist(Sa, Sb) = max(Dist(ca, cb) - ra - rb, 0)`` (Eq. 4).
 
 Every function accepts either :class:`~repro.geometry.hypersphere.Hypersphere`
-objects or raw point arrays where noted, and runs in O(d).
+objects or raw point arrays where noted, and runs in O(d).  The row
+forms (:func:`row_dists`, :func:`max_dists`, :func:`min_dists`) evaluate
+many spheres against one at once and equal the scalar functions bit
+for bit (the test suite checks it): ``sqrt(vecdot(D, D))`` reproduces
+the 1-D ``np.linalg.norm``, whereas ``norm(D, axis=1)`` differs in the
+last place on about one G-G row in eight.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ __all__ = [
     "max_dist",
     "min_dist_point",
     "max_dist_point",
+    "row_dists",
+    "max_dists",
+    "min_dists",
 ]
 
 
@@ -65,3 +73,20 @@ def min_dist_point(a: Hypersphere, q: Sequence[float] | np.ndarray) -> float:
     """
     gap = dist(a.center, q) - a.radius
     return gap if gap > 0.0 else 0.0
+
+
+def row_dists(points: np.ndarray, q: Sequence[float] | np.ndarray) -> np.ndarray:
+    """:func:`dist` from every row of *points* to the point *q*."""
+    offsets = np.asarray(points, dtype=np.float64) - np.asarray(q, dtype=np.float64)
+    return np.sqrt(np.vecdot(offsets, offsets))
+
+
+def max_dists(centers: np.ndarray, radii: np.ndarray, b: Hypersphere) -> np.ndarray:
+    """:func:`max_dist` from every sphere ``(centers[i], radii[i])`` to *b*."""
+    return row_dists(centers, b.center) + radii + b.radius
+
+
+def min_dists(centers: np.ndarray, radii: np.ndarray, b: Hypersphere) -> np.ndarray:
+    """:func:`min_dist` from every sphere ``(centers[i], radii[i])`` to *b*."""
+    gaps = row_dists(centers, b.center) - radii - b.radius
+    return np.where(gaps > 0.0, gaps, 0.0)

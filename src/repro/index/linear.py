@@ -14,6 +14,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.exceptions import IndexStructureError
+from repro.geometry import distance
 from repro.geometry.hypersphere import Hypersphere
 from repro.index.instrumentation import IndexStatsMixin
 
@@ -55,10 +56,8 @@ class LinearIndex(IndexStatsMixin):
 
     def max_dists(self, query: Hypersphere) -> np.ndarray:
         """``MaxDist(S_i, query)`` for every stored hypersphere."""
-        gaps = np.linalg.norm(self.centers - query.center, axis=1)
-        return gaps + self.radii + query.radius
+        return distance.max_dists(self.centers, self.radii, query)
 
     def min_dists(self, query: Hypersphere) -> np.ndarray:
         """``MinDist(S_i, query)`` for every stored hypersphere."""
-        gaps = np.linalg.norm(self.centers - query.center, axis=1)
-        return np.maximum(gaps - self.radii - query.radius, 0.0)
+        return distance.min_dists(self.centers, self.radii, query)

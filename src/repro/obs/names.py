@@ -101,6 +101,9 @@ KNN_ENTRIES_CONSIDERED = "knn.entries_considered"
 KNN_DOMINANCE_CHECKS = "knn.dominance_checks"
 KNN_PRUNED_CASE3 = "knn.pruned_case3"
 KNN_UNCERTAIN_DECISIONS = "knn.uncertain_decisions"
+#: Batch-kernel rows past a best-known-list row's first dominating
+#: anchor: evaluated in the same call, never counted as checks.
+KNN_SPECULATIVE_ROWS = "knn.speculative_rows"
 KNN_REFERENCE_QUERIES = "knn.reference_queries"
 KNN_REFERENCE_DOMINANCE_CHECKS = "knn.reference_dominance_checks"
 

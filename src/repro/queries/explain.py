@@ -71,8 +71,11 @@ _HYPERBOLA_KEYS = {
     names.HYPERBOLA_BISECTOR: "bisector",
     names.HYPERBOLA_QUARTIC: "quartic",
     # The batch kernel's rows: with the scalar calls they add up to the
-    # query's dominance checks under the hyperbola criterion.
+    # query's dominance checks plus its speculative rows (kernel rows
+    # past a kNN row's first dominating anchor) under the hyperbola
+    # criterion.
     names.BATCH_HYPERBOLA_ROWS: "batch_rows",
+    names.KNN_SPECULATIVE_ROWS: "batch_speculative",
     names.BATCH_HYPERBOLA_OVERLAP_ROWS: "batch_fast_path_overlap",
     names.BATCH_HYPERBOLA_CENTER_OUTSIDE_ROWS: "batch_fast_path_center_outside",
     names.BATCH_HYPERBOLA_POINT_QUERY_ROWS: "batch_fast_path_point_query",
@@ -207,11 +210,13 @@ class QueryExplain:
                     "fast_path_point_query",
                 )
             )
+            speculative = self.hyperbola.get(prefix + "speculative", 0)
             lines.append(
                 f"├─ hyperbola: {total} {label} — "
                 f"{fast} fast-path, "
                 f"{self.hyperbola.get(prefix + 'bisector', 0)} bisector, "
                 f"{self.hyperbola.get(prefix + 'quartic', 0)} quartic"
+                + (f", {speculative} speculative" if speculative else "")
             )
         if self.ladder:
             stages = ", ".join(

@@ -24,14 +24,28 @@ criterion: with Hyperbola the answer is exact; with a non-sound
 criterion some dominated objects survive, which is precisely the
 precision loss the paper's Figures 13–16 measure.
 
-Batch route.  A Case-1 eviction and the final cleanup each ask one
-question: does the one ``Sk`` dominate each of the rows beyond ``k``?
-The same holds for the two-phase filter, which asks it once per anchor
-over every undecided candidate collected in phase 2.  Each question is
-one :func:`repro.core.batch.batch_dominates` call (paper Section 5.2
-evaluates dominance in batches).  Case-2 offers stay scalar, because
-each one can change ``Sk``.  The batch call declines, and the rows take
-the scalar guarded check one at a time, when:
+Batch route.  Entries arrive a block at a time: a leaf, or a
+fixed-size chunk (:data:`SCAN_BLOCK`) of a linear scan or of an overlay
+memtable.  One vectorised call gives the block's MaxDist and MinDist
+(:func:`repro.geometry.distance.max_dists` and ``min_dists``, equal to
+the scalar values bit for bit), and the entries are classified in
+order, so a Case-1 insert moves ``distk`` and ``Sk`` at once and node
+pruning sees it.  The dominance checks wait until the end of the block.
+That is safe because only a Case-1 insert moves ``Sk``: a Case-2 row
+has ``MaxDist > distk``, so it is inserted beyond position k, and a row
+beyond k never moves back into the first k.  Each row beyond k
+therefore faces a time-ordered list of anchors — its offer-time ``Sk``
+(Case 2) or the ``Sk`` that pushed it out (Case 1), every later ``Sk``,
+and the final one — and no other decision depends on its verdicts
+until then.  The block's (anchor, row) pairs go through
+:func:`repro.core.batch.batch_dominates` in chunks of at most
+:data:`FLUSH_ROWS` rows (paper Section 5.2 evaluates dominance in
+batches), and a row leaves at its first dominating anchor: the
+dominance checks count the pairs up to that anchor, and kernel rows
+past it are tallied as ``knn.speculative_rows``.  The two-phase filter
+asks its question once per anchor over every undecided candidate
+collected in phase 2.  The batch call declines, and the pairs take the
+scalar guarded check one at a time in the same order, when:
 
 - the criterion is not exactly a registered class with a batch kernel
   (``verified``, ``cascade``, any subclass);
@@ -39,8 +53,11 @@ the scalar guarded check one at a time, when:
 - an input is non-finite;
 - the kernel raises :class:`ArithmeticError`.
 
-So the answers, the offer order, the budget charges and every
-:class:`KNNResult` tally equal those of the scalar path.
+So the answers, the budget charges and every :class:`KNNResult` tally
+equal those of the per-entry order.  One difference remains: a budget
+exhausted *during* dominance checks (``max_escalations`` of a certified
+criterion, or the deadline probed by one) is noticed by the traversal
+at the end of the block instead of at the next entry.
 
 Two traversals are provided, as in the paper's experiments:
 
@@ -99,7 +116,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -109,7 +126,7 @@ from repro.obs import names
 from repro.core.base import DominanceCriterion, get_criterion
 from repro.core.batch import MIN_BATCH_ROWS, batch_dominates
 from repro.exceptions import QueryError
-from repro.geometry.distance import max_dist, min_dist
+from repro.geometry.distance import max_dist, max_dists, min_dist, min_dists
 from repro.geometry.hypersphere import Hypersphere
 from repro.index.linear import LinearIndex
 from repro.index.sstree import SSTree, SSTreeNode
@@ -124,6 +141,12 @@ if TYPE_CHECKING:
     from repro.stream.overlay import DeltaOverlay
 
 __all__ = ["KNNResult", "knn_query", "knn_reference"]
+
+#: Most (anchor, row) pairs one kernel call of a block flush evaluates:
+#: a bound on the kernel's temporaries, and so on the peak RSS.
+FLUSH_ROWS = 256
+#: Entries per block of a linear scan or an overlay memtable.
+SCAN_BLOCK = 64
 
 
 def _record_traversal(index: object, result: "KNNResult") -> None:
@@ -256,7 +279,7 @@ def _safe_node_max_dist_lower_bound(
 
 
 def _safe_sphere_max_dist(
-    sphere: Hypersphere, query: Hypersphere, result: KNNResult
+    sphere: Hypersphere, query: Hypersphere, result: "KNNResult | _BestKnownList"
 ) -> float:
     try:
         value = max_dist(sphere, query)
@@ -270,7 +293,7 @@ def _safe_sphere_max_dist(
 
 
 def _safe_sphere_min_dist(
-    sphere: Hypersphere, query: Hypersphere, result: KNNResult
+    sphere: Hypersphere, query: Hypersphere, result: "KNNResult | _BestKnownList"
 ) -> float:
     try:
         value = min_dist(sphere, query)
@@ -281,6 +304,19 @@ def _safe_sphere_min_dist(
         result.absorbed_faults += 1
         return 0.0
     return float(value)
+
+
+def _checked_rows(
+    rows: "Callable[..., np.ndarray]", *args: object
+) -> "np.ndarray | None":
+    """``rows(*args)``, or ``None`` when it raises or yields a non-finite
+    value: the caller then takes the guarded per-entry distances, which
+    tally what they absorb."""
+    try:
+        values = rows(*args)
+    except ArithmeticError:
+        return None
+    return values if np.isfinite(values).all() else None
 
 
 def _guarded_dominates(
@@ -343,7 +379,13 @@ def _guarded_rows(
 
 
 class _BestKnownList:
-    """The list ``L``: entries sorted by ``MaxDist`` to the query."""
+    """The list ``L``: entries sorted by ``MaxDist`` to the query.
+
+    Every offered entry gets a *slot*, its offer order, in the stores
+    below; ``L`` itself is two parallel lists, ``MaxDist`` ascending and
+    the slot of each row.  A later offer sorts after an equal
+    ``MaxDist``, so the order never compares keys or spheres.
+    """
 
     def __init__(
         self, k: int, query: Hypersphere, criterion: DominanceCriterion
@@ -353,23 +395,23 @@ class _BestKnownList:
         self._criterion = criterion
         self._fallback = get_criterion("minmax")
         self._degraded = criterion is self._fallback
-        # Parallel, maxdist-sorted storage; the tiebreaker keeps sort
-        # stability without ever comparing keys or spheres.
+        self._keys: list = []
+        self._spheres: list[Hypersphere] = []
+        self._centers = np.empty((0, query.dimension))
+        self._radii = np.empty(0)
         self._maxdists: list[float] = []
-        self._rows: list[tuple[float, int, object, Hypersphere]] = []
-        self._tiebreak = itertools.count()
+        self._slots: list[int] = []
         self.dominance_checks = 0
         self.pruned_case3 = 0
         self.absorbed_faults = 0
         self.degraded_checks = 0
-
-    def __len__(self) -> int:
-        return len(self._rows)
+        #: Kernel rows evaluated past a row's first dominating anchor.
+        self.speculative_rows = 0
 
     @property
     def distk(self) -> float:
         """The k-th smallest ``MaxDist`` in L (inf while |L| < k)."""
-        if len(self._rows) < self._k:
+        if len(self._slots) < self._k:
             return float("inf")
         return self._maxdists[self._k - 1]
 
@@ -383,100 +425,168 @@ class _BestKnownList:
         self._criterion = self._fallback
         self._degraded = True
 
-    def _kth_sphere(self) -> Hypersphere:
-        return self._rows[self._k - 1][3]
+    def _store(self, block: "Sequence[tuple[object, Hypersphere]]") -> int:
+        """Give every entry of *block* a slot; returns the first one."""
+        base = len(self._keys)
+        end = base + len(block)
+        if end > len(self._radii):
+            size = max(end, 2 * len(self._radii))
+            centers = np.empty((size, self._centers.shape[1]))
+            centers[:base] = self._centers[:base]
+            radii = np.empty(size)
+            radii[:base] = self._radii[:base]
+            self._centers, self._radii = centers, radii
+        for key, sphere in block:
+            self._keys.append(key)
+            self._spheres.append(sphere)
+        self._centers[base:end] = [sphere.center for _, sphere in block]
+        self._radii[base:end] = [sphere.radius for _, sphere in block]
+        return base
 
-    def _insert(self, dist_max: float, key: object, sphere: Hypersphere) -> None:
-        row = (dist_max, next(self._tiebreak), key, sphere)
-        at = bisect.bisect_left(self._rows, row)
-        self._rows.insert(at, row)
-        self._maxdists.insert(at, dist_max)
+    def _block_dists(
+        self, base: int, end: int
+    ) -> "tuple[list[float], list[float]] | None":
+        """MaxDist and MinDist of slots ``base:end``, or ``None``."""
+        centers, radii = self._centers[base:end], self._radii[base:end]
+        maxs = _checked_rows(max_dists, centers, radii, self._query)
+        mins = _checked_rows(min_dists, centers, radii, self._query)
+        if maxs is None or mins is None:
+            return None
+        return maxs.tolist(), mins.tolist()
 
-    def _safe_max_dist(self, sphere: Hypersphere) -> float:
-        try:
-            value = max_dist(sphere, self._query)
-        except ArithmeticError:
-            self.absorbed_faults += 1
-            return math.inf
-        if not math.isfinite(value):
-            self.absorbed_faults += 1
-            return math.inf
-        return float(value)
+    def offer_block(self, block: "Sequence[tuple[object, Hypersphere]]") -> None:
+        """Process a block of candidates through the paper's three cases.
 
-    def _safe_min_dist(self, sphere: Hypersphere) -> float:
-        try:
-            value = min_dist(sphere, self._query)
-        except ArithmeticError:
-            self.absorbed_faults += 1
-            return 0.0
-        if not math.isfinite(value):
-            self.absorbed_faults += 1
-            return 0.0
-        return float(value)
-
-    def _dominates(self, kth: Hypersphere, sphere: Hypersphere) -> bool:
-        """One guarded dominance check (a Case-2 offer)."""
-        self.dominance_checks += 1
-        if self._degraded:
-            self.degraded_checks += 1
-        return _guarded_dominates(
-            self._criterion, self._fallback, kth, sphere, self._query, self
-        )
-
-    def offer(self, key: object, sphere: Hypersphere) -> None:
-        """Process one candidate through the paper's three cases."""
-        dist_max = self._safe_max_dist(sphere)
-        if len(self._rows) < self._k:
-            self._insert(dist_max, key, sphere)
-            return
-        distk = self.distk
-        dist_min = self._safe_min_dist(sphere)
-        if dist_min > distk:  # Case 3
-            self.pruned_case3 += 1
-            return
-        if dist_max <= distk:  # Case 1
-            self._insert(dist_max, key, sphere)
-            self._evict_dominated()
-            return
-        # Case 2: distmin <= distk < distmax.
-        if not self._dominates(self._kth_sphere(), sphere):
-            self._insert(dist_max, key, sphere)
-
-    def _undominated(self) -> "list[tuple[float, int, object, Hypersphere]]":
-        """The rows minus those beyond k that the current Sk dominates.
-
-        The first k rows define distk, and Sk never self-dominates, so
-        only the tail is checked: one guarded batch call.
+        Classification runs entry by entry, so Case-1 inserts move
+        ``distk`` and ``Sk`` immediately; every dominance check the
+        block raises is queued as an (anchor, row) slot pair and
+        resolved by one :meth:`_flush` at its end.
         """
-        tail = self._rows[self._k:]
-        if not tail:
-            return self._rows
-        self.dominance_checks += len(tail)
-        if self._degraded:
-            self.degraded_checks += len(tail)
-        dominated = _guarded_rows(
-            self._criterion,
-            self._fallback,
-            self._kth_sphere(),
-            [row[3] for row in tail],
-            self._query,
-            self,
-        )
-        return self._rows[: self._k] + [
-            row for row, gone in zip(tail, dominated) if not gone
-        ]
+        if not block:
+            return
+        base = self._store(block)
+        dists = self._block_dists(base, base + len(block))
+        k, maxdists, slots = self._k, self._maxdists, self._slots
+        anchors: "list[int]" = []
+        targets: "list[int]" = []
+        for i, (_, sphere) in enumerate(block):
+            dist_max = (
+                _safe_sphere_max_dist(sphere, self._query, self)
+                if dists is None
+                else dists[0][i]
+            )
+            full = len(slots) >= k
+            if full:
+                distk = maxdists[k - 1]
+                dist_min = (
+                    _safe_sphere_min_dist(sphere, self._query, self)
+                    if dists is None
+                    else dists[1][i]
+                )
+                if dist_min > distk:  # Case 3
+                    self.pruned_case3 += 1
+                    continue
+            at = bisect.bisect_right(maxdists, dist_max)
+            maxdists.insert(at, dist_max)
+            slots.insert(at, base + i)
+            if not full:
+                continue
+            if dist_max <= distk:  # Case 1: the new Sk faces every row beyond k
+                anchors.extend([slots[k - 1]] * (len(slots) - k))
+                targets.extend(slots[k:])
+            else:  # Case 2: kept provisionally, checked against this Sk
+                anchors.append(slots[k - 1])
+                targets.append(base + i)
+        self._flush(anchors, targets)
 
-    def _evict_dominated(self) -> None:
-        """Drop every member dominated by the (new) k-th hypersphere."""
-        rows = self._undominated()
-        if len(rows) != len(self._rows):
-            self._rows = rows
-            self._maxdists = [row[0] for row in rows]
+    def _flush(self, anchors: "list[int]", targets: "list[int]") -> None:
+        """Resolve queued (anchor, row) checks in time order; evict.
+
+        A row leaves at its first dominating anchor.  Only the pairs up
+        to it are dominance checks; a later pair of the same row that a
+        kernel call evaluated anyway is a speculative row.
+        """
+        if not targets:
+            return
+        anchor_slots, target_slots = np.array(anchors), np.array(targets)
+        gone = np.zeros(len(self._keys), dtype=bool)
+        at = 0
+        while at < target_slots.size:
+            live = at + np.flatnonzero(~gone[target_slots[at:]])
+            if not live.size:
+                break
+            chunk = live[:FLUSH_ROWS]
+            at = int(chunk[-1]) + 1
+            a, t = anchor_slots[chunk], target_slots[chunk]
+            verdicts = self._batch_verdicts(a, t)
+            if verdicts is None:
+                self._resolve_scalar(a.tolist(), t.tolist(), gone)
+                continue
+            hits = np.flatnonzero(verdicts)
+            evicted, first = np.unique(t[hits], return_index=True)
+            last_check = np.full(len(gone), t.size)
+            last_check[evicted] = hits[first]
+            speculative = int(np.count_nonzero(np.arange(t.size) > last_check[t]))
+            self.speculative_rows += speculative
+            self._count_checks(t.size - speculative)
+            gone[evicted] = True
+        if gone.any():
+            slots = np.array(self._slots)
+            keep = ~gone[slots]
+            self._slots = slots[keep].tolist()
+            self._maxdists = np.array(self._maxdists)[keep].tolist()
+
+    def _count_checks(self, checks: int) -> None:
+        self.dominance_checks += checks
+        if self._degraded:
+            self.degraded_checks += checks
+
+    def _batch_verdicts(
+        self, anchors: np.ndarray, targets: np.ndarray
+    ) -> "np.ndarray | None":
+        """One guarded kernel call over the pairs, or ``None`` (go scalar)."""
+        if targets.size < MIN_BATCH_ROWS:
+            return None
+        query = self._query
+        ca = self._centers[anchors]
+        return batch_dominates(
+            self._criterion,
+            ca,
+            self._centers[targets],
+            np.broadcast_to(query.center, ca.shape),
+            self._radii[anchors],
+            self._radii[targets],
+            np.full(targets.size, query.radius),
+        )
+
+    def _resolve_scalar(
+        self, anchors: "list[int]", targets: "list[int]", gone: np.ndarray
+    ) -> None:
+        """The pairs one guarded scalar check at a time, skipping the gone."""
+        for anchor, target in zip(anchors, targets):
+            if gone[target]:
+                continue
+            self._count_checks(1)
+            gone[target] = _guarded_dominates(
+                self._criterion,
+                self._fallback,
+                self._spheres[anchor],
+                self._spheres[target],
+                self._query,
+                self,
+            )
 
     def finalize(self) -> tuple[list, list[Hypersphere], float]:
         """Final cleanup pass: re-apply dominance by the final Sk."""
-        rows = self._undominated()
-        return [row[2] for row in rows], [row[3] for row in rows], self.distk
+        k = self._k
+        tail = self._slots[k:]
+        if tail:
+            self._flush([self._slots[k - 1]] * len(tail), tail)
+        return (
+            [self._keys[slot] for slot in self._slots],
+            [self._spheres[slot] for slot in self._slots],
+            self.distk,
+        )
 
 
 class _ShadowedOffers:
@@ -484,7 +594,7 @@ class _ShadowedOffers:
 
     A streaming overlay (:mod:`repro.stream.overlay`) tombstones or
     re-inserts keys whose base-index copies must not participate in the
-    answer.  The traversals only need ``offer`` and ``distk``, so this
+    answer.  The traversals only need ``offer_block`` and ``distk``, so this
     thin proxy drops shadowed candidates before they ever reach the
     best-known list — everything that survives runs through the exact
     same certified cascade.
@@ -503,11 +613,44 @@ class _ShadowedOffers:
     def distk(self) -> float:
         return self._best.distk
 
-    def offer(self, key: object, sphere: Hypersphere) -> None:
-        if key in self._shadowed:
-            self.tombstone_hits += 1
+    def offer_block(self, block: "Sequence[tuple[object, Hypersphere]]") -> None:
+        kept = [entry for entry in block if entry[0] not in self._shadowed]
+        self.tombstone_hits += len(block) - len(kept)
+        self._best.offer_block(kept)
+
+
+def _offer(
+    best: "_BestKnownList | _ShadowedOffers",
+    entries: "Sequence[tuple[object, Hypersphere]]",
+    result: KNNResult,
+    budget: "Budget | None",
+) -> bool:
+    """Offer *entries* as one block; ``False`` when the budget ran out.
+
+    The budget is charged per entry first, so the block offered is the
+    prefix of entries it paid for.
+    """
+    block = entries
+    if budget is not None:
+        for i in range(len(entries)):
+            if budget.charge_candidate() is not None:
+                block = entries[:i]
+                break
+    result.entries_considered += len(block)
+    best.offer_block(block)
+    return len(block) == len(entries)
+
+
+def _offer_scan(
+    best: "_BestKnownList | _ShadowedOffers",
+    entries: "Sequence[tuple[object, Hypersphere]]",
+    result: KNNResult,
+    budget: "Budget | None",
+) -> None:
+    """Offer a flat sequence in :data:`SCAN_BLOCK`-sized blocks."""
+    for start in range(0, len(entries), SCAN_BLOCK):
+        if not _offer(best, entries[start:start + SCAN_BLOCK], result, budget):
             return
-        self._best.offer(key, sphere)
 
 
 def _wrap_partial(result: KNNResult, budget: Budget) -> PartialResult:
@@ -609,9 +752,13 @@ def knn_query(
         overlay = None
     else:
         validate_query(query, index.dimension)
+        # len(index) - len(shadowed) bounds the live base entries from
+        # below, so only a k beyond it pays for the exact O(n) count.
         shadowed = overlay.shadowed_keys()
-        live = sum(1 for key, _ in index if key not in shadowed)
-        k = validate_k(k, live + len(overlay))
+        size = len(index) - len(shadowed) + len(overlay)
+        if isinstance(k, (int, np.integer)) and k > size:
+            size = sum(1 for key, _ in index if key not in shadowed) + len(overlay)
+        k = validate_k(k, size)
     if isinstance(criterion, str):
         criterion = get_criterion(criterion)
     event_log = obs_export.current_event_log()
@@ -678,16 +825,7 @@ def _run_knn(
     if overlay is not None:
         # Memtable entries go first: a deterministic offer order, and
         # distk can only shrink, so every later Case-3 prune stays valid.
-        if budget is None:
-            for key, sphere in overlay.entries():
-                result.entries_considered += 1
-                best.offer(key, sphere)
-        else:
-            for key, sphere in overlay.entries():
-                if budget.charge_candidate() is not None:
-                    break
-                result.entries_considered += 1
-                best.offer(key, sphere)
+        _offer_scan(best, list(overlay.entries()), result, budget)
         shadowed = overlay.shadowed_keys()
         if shadowed:
             offers = _ShadowedOffers(best, shadowed)
@@ -695,16 +833,7 @@ def _run_knn(
             obs.incr(names.STREAM_MERGED_QUERIES)
 
     if isinstance(index, LinearIndex):
-        if budget is None:
-            for key, sphere in index:
-                result.entries_considered += 1
-                offers.offer(key, sphere)
-        else:
-            for key, sphere in index:
-                if budget.charge_candidate() is not None:
-                    break
-                result.entries_considered += 1
-                offers.offer(key, sphere)
+        _offer_scan(offers, list(index), result, budget)
     elif strategy == "df":
         _depth_first(index.root, query, offers, result, budget, levels=levels)
     elif strategy == "hs":
@@ -721,6 +850,8 @@ def _run_knn(
         # pass) degrades to the conservative MinMax tier.
         best.degrade()
     result.keys, result.spheres, result.distk = best.finalize()
+    if obs.ENABLED and best.speculative_rows:
+        obs.incr(names.KNN_SPECULATIVE_ROWS, best.speculative_rows)
     result.dominance_checks = best.dominance_checks
     result.pruned_case3 = best.pruned_case3
     result.absorbed_faults += best.absorbed_faults
@@ -748,12 +879,7 @@ def _depth_first(
     if levels is not None:
         levels[depth] = levels.get(depth, 0) + 1
     if node.is_leaf:
-        for key, sphere in node.entries:
-            if budget is not None and budget.charge_candidate() is not None:
-                return False
-            result.entries_considered += 1
-            best.offer(key, sphere)
-        return True
+        return _offer(best, node.entries, result, budget)
     ranked = sorted(
         (
             (_safe_node_min_dist(child, query, result), i)
@@ -794,11 +920,8 @@ def _best_first(
         if levels is not None:
             levels[depth] = levels.get(depth, 0) + 1
         if node.is_leaf:
-            for key, sphere in node.entries:
-                if budget is not None and budget.charge_candidate() is not None:
-                    return
-                result.entries_considered += 1
-                best.offer(key, sphere)
+            if not _offer(best, node.entries, result, budget):
+                return
         else:
             for child in node.children:
                 gap = _safe_node_min_dist(child, query, result)
@@ -828,7 +951,11 @@ def _knn_two_phase(
     undecided: "list[int]" = []
 
     if isinstance(index, LinearIndex):
-        maxdists = index.max_dists(query)
+        maxdists = _checked_rows(index.max_dists, query)
+        if maxdists is None:
+            maxdists = np.array(
+                [_safe_sphere_max_dist(s, query, result) for s in index.spheres]
+            )
         distk = float(np.partition(maxdists, k - 1)[k - 1])
         anchors = [index.spheres[i] for i in np.flatnonzero(maxdists == distk)]
         result.entries_considered = len(index)

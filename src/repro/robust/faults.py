@@ -14,7 +14,10 @@ that claim testable by corrupting the kernels at their seams:
     reduction feeding ``(t, rho)`` into the 2-D kernel.
 ``"distance"``
     :func:`repro.geometry.distance.dist`, used by the overlap and
-    center-side fast paths.
+    center-side fast paths and by every MaxDist/MinDist, and its row
+    form :func:`~repro.geometry.distance.row_dists` (each row counts
+    as one call), behind the vectorised MaxDist/MinDist of a kNN leaf
+    and a linear scan.
 ``"index"``
     The node distance bounds (``min_dist`` and
     ``max_dist_lower_bound``) of all three tree indexes — the values a
@@ -315,11 +318,27 @@ def _patch_distance(fault: InjectedFault) -> "Iterator[None]":
             raise FaultInjected("injected fault in dist")
         return fault.corrupt_scalar(value)
 
+    original_row_dists = _distance.row_dists
+
+    def corrupted_row_dists(
+        points: np.ndarray, q: "Sequence[float] | np.ndarray"
+    ) -> np.ndarray:
+        values = original_row_dists(points, q)
+        for i in range(values.shape[0]):
+            if not fault.fires():
+                continue
+            if fault.mode == "raise":
+                raise FaultInjected("injected fault in row_dists")
+            values[i] = fault.corrupt_scalar(float(values[i]))
+        return values
+
     try:
         _distance.dist = corrupted_dist
+        _distance.row_dists = corrupted_row_dists
         yield
     finally:
         _distance.dist = original_dist
+        _distance.row_dists = original_row_dists
 
 
 @contextlib.contextmanager

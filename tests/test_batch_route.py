@@ -16,7 +16,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 
 from repro import obs
 from repro.core.base import get_criterion, is_registered
@@ -206,7 +206,6 @@ def gg_worlds(draw):
 
 class TestBatchScalarProperty:
     @given(gg_worlds())
-    @settings(max_examples=40)
     def test_every_route_matches_scalar(self, world):
         items, query, k = world
         scalar = ScalarHyperbola()
@@ -300,6 +299,9 @@ class TestBatchFaults:
 
 class TestExplainAccounting:
     def test_scalar_calls_plus_batch_rows_equal_dominance_checks(self, world):
+        # A block flush evaluates every queued pair of a chunk in one
+        # kernel call; the pairs past a row's first dominating anchor are
+        # speculative rows, never dominance checks.
         _, (tree, _, _), queries = world
         for query in queries:
             detail = knn_query(tree, query, 6, explain=True).explain
@@ -307,5 +309,9 @@ class TestExplainAccounting:
             assert (
                 detail.hyperbola.get("calls", 0) + detail.hyperbola["batch_rows"]
                 == detail.traversal["dominance_checks"]
+                + detail.counters.get("knn.speculative_rows", 0)
+            )
+            assert detail.hyperbola.get("batch_speculative", 0) == (
+                detail.counters.get("knn.speculative_rows", 0)
             )
             assert "batch row(s)" in detail.render()
